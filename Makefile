@@ -11,7 +11,7 @@ OLD ?= old.txt
 NEW ?= new.txt
 # BENCH_JSON is the perf-trajectory snapshot bench-json writes and the
 # baseline bench-gate compares against.
-BENCH_JSON ?= BENCH_10.json
+BENCH_JSON ?= BENCH_12.json
 # bench-gate tuning: GATE_ONLY is the single source of truth for what
 # the gate covers — comma-separated benchmark name prefixes, passed to
 # benchjson -only and converted into the -bench run regex below, so the
@@ -76,10 +76,13 @@ bench-save:
 # bench-json: machine-readable ns/op + allocs/op per experiment, written
 # to $(BENCH_JSON) so the perf trajectory is tracked in-repo PR over PR.
 # The bench output lands in an intermediate file first so a failing bench
-# run aborts the recipe instead of silently truncating the snapshot.
+# run aborts the recipe instead of silently truncating the snapshot. The
+# snapshot itself is renamed into place only after benchjson has stamped
+# it, so creating it does not mark the tree git_dirty.
 bench-json:
 	$(GO) test -bench . -benchtime 3x -benchmem -run '^$$' . > $(BENCH_JSON).tmp
-	$(GO) run ./tools/benchjson < $(BENCH_JSON).tmp > $(BENCH_JSON)
+	$(GO) run ./tools/benchjson < $(BENCH_JSON).tmp > $(BENCH_JSON).json.tmp
+	mv $(BENCH_JSON).json.tmp $(BENCH_JSON)
 	rm -f $(BENCH_JSON).tmp
 
 bench-compare:

@@ -41,28 +41,44 @@ type Result struct {
 }
 
 // Report is the emitted document. The provenance fields (GoVersion,
-// GitCommit) identify the toolchain and tree that produced a snapshot;
-// -compare ignores them, so old baselines without the fields and new
-// ones with them interoperate freely.
+// GitCommit, GitDirty) identify the toolchain and tree that produced a
+// snapshot; -compare ignores them, so old baselines without the fields
+// and new ones with them interoperate freely.
 type Report struct {
-	Goos      string   `json:"goos,omitempty"`
-	Goarch    string   `json:"goarch,omitempty"`
-	CPU       string   `json:"cpu,omitempty"`
-	GoVersion string   `json:"go_version,omitempty"`
-	GitCommit string   `json:"git_commit,omitempty"`
-	Results   []Result `json:"results"`
+	Goos      string `json:"goos,omitempty"`
+	Goarch    string `json:"goarch,omitempty"`
+	CPU       string `json:"cpu,omitempty"`
+	GoVersion string `json:"go_version,omitempty"`
+	GitCommit string `json:"git_commit,omitempty"`
+	// GitDirty reports uncommitted changes in the working tree at
+	// measurement time: a snapshot measured before its change was
+	// committed carries the parent's GitCommit, and this says so. Nil
+	// when git could not tell.
+	GitDirty *bool    `json:"git_dirty,omitempty"`
+	Results  []Result `json:"results"`
 }
 
 // stamp records the producing toolchain and, when available, the git
-// commit of the working tree. Both are best-effort provenance: a missing
-// git binary or a non-repo working directory just leaves the field
-// empty.
-func (r *Report) stamp() {
+// commit and dirty state of the working tree.
+func (r *Report) stamp() { r.stampWith(runGit) }
+
+// stampWith is stamp with the git runner injected. Git provenance is
+// best-effort: a missing git binary or a non-repo working directory
+// just leaves the fields empty.
+func (r *Report) stampWith(git func(args ...string) (string, error)) {
 	r.GoVersion = runtime.Version()
-	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
-	if err == nil {
-		r.GitCommit = strings.TrimSpace(string(out))
+	if out, err := git("rev-parse", "--short", "HEAD"); err == nil {
+		r.GitCommit = strings.TrimSpace(out)
 	}
+	if out, err := git("status", "--porcelain"); err == nil {
+		dirty := strings.TrimSpace(out) != ""
+		r.GitDirty = &dirty
+	}
+}
+
+func runGit(args ...string) (string, error) {
+	out, err := exec.Command("git", args...).Output()
+	return string(out), err
 }
 
 func main() {

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -289,9 +291,61 @@ func TestStampRecordsToolchain(t *testing.T) {
 	}
 }
 
+// fakeGit answers stampWith's git queries from a table; a missing
+// entry fails like git outside a repository.
+func fakeGit(answers map[string]string) func(args ...string) (string, error) {
+	return func(args ...string) (string, error) {
+		out, ok := answers[strings.Join(args, " ")]
+		if !ok {
+			return "", errors.New("not a git repository")
+		}
+		return out, nil
+	}
+}
+
+func TestStampRecordsDirtyTree(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		status string
+		want   bool
+	}{
+		{"clean", "", false},
+		{"modified", " M internal/simtime/rand.go\n", true},
+		{"untracked", "?? internal/simtime/new.go\n", true},
+	} {
+		var rep Report
+		rep.stampWith(fakeGit(map[string]string{
+			"rev-parse --short HEAD": "931fef2\n",
+			"status --porcelain":     tc.status,
+		}))
+		if rep.GitCommit != "931fef2" {
+			t.Fatalf("%s: git_commit = %q, want 931fef2", tc.name, rep.GitCommit)
+		}
+		if rep.GitDirty == nil || *rep.GitDirty != tc.want {
+			t.Fatalf("%s: git_dirty = %v, want %v", tc.name, rep.GitDirty, tc.want)
+		}
+		raw, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf(`"git_dirty":%v`, tc.want); !strings.Contains(string(raw), want) {
+			t.Fatalf("%s: JSON %s lacks %s", tc.name, raw, want)
+		}
+	}
+	// Outside a repository neither field is claimed.
+	var rep Report
+	rep.stampWith(fakeGit(nil))
+	if rep.GitCommit != "" || rep.GitDirty != nil {
+		t.Fatalf("no git: commit %q dirty %v, want both unset", rep.GitCommit, rep.GitDirty)
+	}
+	if raw, _ := json.Marshal(rep); strings.Contains(string(raw), "git_") {
+		t.Fatalf("no git: JSON %s carries git fields", raw)
+	}
+}
+
 // TestCompareToleratesProvenanceMetadata pins the interop contract:
-// baselines carrying (or lacking) the go_version/git_commit provenance
-// fields — and any future unknown metadata — compare cleanly against a
+// baselines carrying (or lacking) the go_version/git_commit/git_dirty
+// provenance fields — and any future unknown metadata — compare cleanly against a
 // fresh report either way.
 func TestCompareToleratesProvenanceMetadata(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "baseline.json")
@@ -299,6 +353,7 @@ func TestCompareToleratesProvenanceMetadata(t *testing.T) {
   "cpu": "test-box",
   "go_version": "go99.99",
   "git_commit": "deadbeef",
+  "git_dirty": true,
   "some_future_field": {"nested": true},
   "results": [{"name": "BenchmarkE9ScaleSweep", "iterations": 1, "ns_per_op": 1000}]
 }`)
