@@ -1,5 +1,6 @@
 // Package repro's benchmark harness: one Benchmark per experiment
-// E1–E10 (DESIGN.md §3 maps E1–E8 to a paper figure/claim; E9 is the
+// E1–E10 (each E1–E8 doc comment in internal/experiments names the paper
+// figure or claim it reproduces; E9 is the
 // fleet scale sweep and E10 the capacity×population matrix, both at
 // reduced populations) plus micro-benchmarks of the
 // simulator hot paths. Experiment benches run time-scaled

@@ -1,5 +1,6 @@
-// Command mmbench regenerates every experiment table E1–E10 (DESIGN.md
-// §3 maps E1–E8 to a figure or claim of the paper; E9 is the fleet scale
+// Command mmbench regenerates every experiment table E1–E10 (each E1–E8
+// doc comment in internal/experiments names the figure or claim of the
+// paper it reproduces; E9 is the fleet scale
 // sweep and E10 the capacity×population matrix, both run here at their
 // reduced suite shapes — cmd/mmscale drives the full 500→10k axes). Use
 // -scale to shrink run lengths during development, -parallel to spread

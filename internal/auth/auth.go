@@ -3,7 +3,7 @@
 // tokens over the node's home address and a monotonically increasing
 // nonce, with replay protection. It substitutes for whatever AAA
 // infrastructure a real deployment would use; the RSMC code path it
-// exercises is identical (see DESIGN.md substitutions).
+// exercises is identical.
 package auth
 
 import (
@@ -11,6 +11,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"hash"
 
 	"repro/internal/addr"
 )
@@ -29,11 +30,21 @@ var (
 // simulation one Authenticator instance is shared between the mobile
 // nodes of a domain and its RSMC, standing in for a provisioned shared
 // secret.
+//
+// An Authenticator is not safe for concurrent use: it reuses one HMAC
+// state and its scratch buffers for every MAC. Each scenario builds its
+// own, and a scenario runs on one goroutine.
 type Authenticator struct {
 	key []byte
 	// lastNonce remembers the highest accepted nonce per mobile node for
 	// replay protection.
 	lastNonce map[addr.IP]uint64
+
+	// h is the keyed HMAC state, built on first use and Reset per MAC;
+	// in and sum are its input and output scratch.
+	h   hash.Hash
+	in  [12]byte
+	sum [TokenSize]byte
 }
 
 // New returns an authenticator for the given key.
@@ -46,25 +57,35 @@ func New(key []byte) (*Authenticator, error) {
 	return &Authenticator{key: k, lastNonce: make(map[addr.IP]uint64)}, nil
 }
 
-// mac computes HMAC-SHA256(key, mn || nonce).
-func (a *Authenticator) mac(mn addr.IP, nonce uint64) []byte {
-	h := hmac.New(sha256.New, a.key)
-	var buf [12]byte
-	binary.BigEndian.PutUint32(buf[0:4], uint32(mn))
-	binary.BigEndian.PutUint64(buf[4:12], nonce)
-	h.Write(buf[:])
-	return h.Sum(nil)
+// mac computes HMAC-SHA256(key, mn || nonce) into the scratch sum, which
+// stays valid until the next call.
+//
+//mmlint:noalloc
+func (a *Authenticator) mac(mn addr.IP, nonce uint64) *[TokenSize]byte {
+	if a.h == nil {
+		a.h = hmac.New(sha256.New, a.key) //mmlint:alloc-ok one HMAC state per Authenticator, reused for every MAC
+	}
+	a.h.Reset()
+	binary.BigEndian.PutUint32(a.in[0:4], uint32(mn))
+	binary.BigEndian.PutUint64(a.in[4:12], nonce)
+	a.h.Write(a.in[:])
+	a.h.Sum(a.sum[:0])
+	return &a.sum
 }
 
 // Token issues a credential binding the mobile node's home address to a
 // nonce. The caller must use strictly increasing nonces.
-func (a *Authenticator) Token(mn addr.IP, nonce uint64) []byte {
-	return a.mac(mn, nonce)
+//
+//mmlint:noalloc
+func (a *Authenticator) Token(mn addr.IP, nonce uint64) [TokenSize]byte {
+	return *a.mac(mn, nonce)
 }
 
 // Verify checks a token without consuming the nonce (stateless check).
+//
+//mmlint:noalloc
 func (a *Authenticator) Verify(mn addr.IP, nonce uint64, token []byte) error {
-	if !hmac.Equal(a.mac(mn, nonce), token) {
+	if !hmac.Equal(a.mac(mn, nonce)[:], token) {
 		return ErrBadToken
 	}
 	return nil

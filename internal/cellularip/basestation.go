@@ -335,7 +335,9 @@ func (bs *BaseStation) deliverDown(pkt *packet.Packet) {
 	// Bicast: cut every duplicate before dispatching anything — the
 	// original can be consumed (dropped and recycled) by its own
 	// sendMapping, so cloning lazily inside the loop would copy a dead
-	// packet.
+	// packet. Holding maps across sendMapping is safe: it only schedules
+	// deliveries, so this station's caches cannot change before the loop
+	// ends.
 	dups := bs.bicast[:0]
 	for range maps[1:] {
 		c := pkt.Clone()

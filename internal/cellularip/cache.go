@@ -43,10 +43,14 @@ func NewSoftCache(timeout time.Duration, sched *simtime.Scheduler) *SoftCache {
 func (c *SoftCache) Timeout() time.Duration { return c.timeout }
 
 // Replace installs m as the only mapping for host — the regular
-// route-update semantics (one path per host).
+// route-update semantics (one path per host). Uplink data refreshes
+// every station of the chain through here, so the host's slice is
+// rewritten in place rather than reallocated.
+//
+//mmlint:noalloc
 func (c *SoftCache) Replace(host addr.IP, m Mapping) {
 	m.Expires = c.sched.Now() + c.timeout
-	c.entries[host] = []Mapping{m}
+	c.entries[host] = append(c.entries[host][:0], m) //mmlint:alloc-ok first mapping for a host; refreshes reuse its slice
 }
 
 // Add installs m alongside existing mappings (semisoft semantics),
@@ -64,7 +68,9 @@ func (c *SoftCache) Add(host addr.IP, m Mapping) {
 	c.entries[host] = append(live, m)
 }
 
-// Lookup returns the live mappings for host, pruning expired ones.
+// Lookup returns the live mappings for host, pruning expired ones. The
+// returned slice aliases the cache's storage: it is valid only until the
+// next Replace, Add, Lookup, Remove or Clear for that host.
 func (c *SoftCache) Lookup(host addr.IP) []Mapping {
 	live := c.liveMappings(host)
 	if len(live) == 0 {

@@ -319,27 +319,6 @@ func TestHandoffCountsAndDetach(t *testing.T) {
 	}
 }
 
-func TestDedup(t *testing.T) {
-	d := newDedup(4)
-	if d.duplicate(1, 1) {
-		t.Fatal("first sighting reported duplicate")
-	}
-	if !d.duplicate(1, 1) {
-		t.Fatal("second sighting not duplicate")
-	}
-	// Different flow, same seq is distinct.
-	if d.duplicate(2, 1) {
-		t.Fatal("flow collision")
-	}
-	// Eviction: fill past capacity, oldest forgotten.
-	for i := uint32(10); i < 20; i++ {
-		d.duplicate(1, i)
-	}
-	if d.duplicate(1, 1) {
-		t.Fatal("evicted entry still remembered")
-	}
-}
-
 func TestGatewayTurnaroundHostToHost(t *testing.T) {
 	cfg := DefaultConfig()
 	b := newCIPBed(t, cfg)
@@ -391,6 +370,10 @@ func TestSoftCacheSemantics(t *testing.T) {
 	n1, n2 := net.NewNode("n1"), net.NewNode("n2")
 
 	c.Replace(ip, Mapping{Via: n1})
+	// Refreshing an existing host rewrites its slice in place.
+	if avg := testing.AllocsPerRun(100, func() { c.Replace(ip, Mapping{Via: n1}) }); avg != 0 {
+		t.Fatalf("Replace refresh allocates %.1f", avg)
+	}
 	c.Add(ip, Mapping{Via: n2})
 	if got := c.Lookup(ip); len(got) != 2 {
 		t.Fatalf("after Add: %d mappings", len(got))

@@ -67,6 +67,10 @@ const (
 	cnIP       = "192.0.2.10"
 )
 
+// homePrefix is homeNet parsed once: mnHome runs on per-MN paths such as
+// the fault-recovery poll.
+var homePrefix = addr.MustParsePrefix(homeNet)
+
 // scenario is the shared scaffold each scheme builds on.
 type scenario struct {
 	cfg   Config
@@ -347,8 +351,7 @@ func (s *scenario) hotspot(micros []*topology.Cell) ([]*topology.Cell, geo.Rect)
 
 // mnHome returns the i-th MN's home address inside the HA prefix.
 func mnHome(i int) addr.IP {
-	p := addr.MustParsePrefix(homeNet)
-	ip, _ := p.Nth(uint32(10 + i))
+	ip, _ := homePrefix.Nth(uint32(10 + i))
 	return ip
 }
 
@@ -472,9 +475,9 @@ func (s *scenario) runMobileIP() error {
 
 	haNode := s.net.NewNode("ha")
 	haNode.AddAddr(addr.MustParse(haIP))
-	ha := mobileip.NewHomeAgent(haNode, addr.MustParsePrefix(homeNet), stats)
+	ha := mobileip.NewHomeAgent(haNode, homePrefix, stats)
 	lHA := s.net.Connect(s.inet, haNode, netsim.LinkConfig{Delay: wiredDelay})
-	s.inetRouter.AddRoute(addr.MustParsePrefix(homeNet), lHA)
+	s.inetRouter.AddRoute(homePrefix, lHA)
 	ha.Router().Default = lHA
 
 	// AuthEnabled arms MHAE-style registration authentication: one shared
@@ -763,9 +766,9 @@ func (s *scenario) runMultiTier() error {
 
 	haNode := s.net.NewNode("ha")
 	haNode.AddAddr(addr.MustParse(haIP))
-	ha := mobileip.NewHomeAgent(haNode, addr.MustParsePrefix(homeNet), mobileip.NewStats(s.reg))
+	ha := mobileip.NewHomeAgent(haNode, homePrefix, mobileip.NewStats(s.reg))
 	lHA := s.net.Connect(s.inet, haNode, netsim.LinkConfig{Delay: wiredDelay})
-	s.inetRouter.AddRoute(addr.MustParsePrefix(homeNet), lHA)
+	s.inetRouter.AddRoute(homePrefix, lHA)
 	ha.Router().Default = lHA
 
 	// AuthEnabled also signs the roots' anchor registrations toward the

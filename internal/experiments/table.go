@@ -2,8 +2,8 @@
 // paper publishes no quantitative tables — its figures are architecture
 // and message-flow diagrams and its claims are qualitative — so each
 // experiment E1–E8 turns one figure or claim into a measured scenario
-// (see DESIGN.md §3 for the mapping and EXPERIMENTS.md for recorded
-// results).
+// (each experiment's doc comment names its figure or claim, and
+// testdata/golden_suite.txt records the tables at a fixed seed).
 package experiments
 
 import (

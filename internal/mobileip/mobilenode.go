@@ -199,7 +199,7 @@ func (mn *MobileNode) sendRegistration(careOf addr.IP, isRetry bool) {
 		// nonce at the HA.
 		req.HasAuth = true
 		req.Nonce = uint64(mn.sched.Now())
-		copy(req.Token[:], mn.auth.Token(mn.home, req.Nonce))
+		req.Token = mn.auth.Token(mn.home, req.Nonce)
 		if mn.cfg.AuthCostNS > 0 && mn.stats != nil {
 			mn.stats.AuthCPUNS.Add(mn.cfg.AuthCostNS)
 		}

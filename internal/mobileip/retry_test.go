@@ -207,7 +207,7 @@ func TestReplayRejectedAtHA(t *testing.T) {
 		CareOf: tb.fa1.CareOf(), Lifetime: time.Minute, ID: 999,
 		HasAuth: true, Nonce: 0,
 	}
-	copy(replay.Token[:], a.Token(tb.mn.Home(), 0))
+	replay.Token = a.Token(tb.mn.Home(), 0)
 	tb.injectControl(attacker, replay)
 	if err := tb.sched.RunUntil(2 * time.Second); err != nil {
 		t.Fatal(err)
@@ -229,7 +229,7 @@ func TestReplayRejectedAtHA(t *testing.T) {
 		CareOf: tb.fa1.CareOf(), Lifetime: time.Minute, ID: 1000,
 		HasAuth: true, Nonce: 0,
 	}
-	copy(stale.Token[:], a.Token(otherHome, 0))
+	stale.Token = a.Token(otherHome, 0)
 	tb.injectControl(attacker, stale)
 	if err := tb.sched.RunUntil(6 * time.Second); err != nil {
 		t.Fatal(err)

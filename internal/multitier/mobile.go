@@ -71,7 +71,7 @@ type Mobile struct {
 	state       HostState
 	locTicker   *simtime.Ticker
 	idleTimer   simtime.Event
-	dedupe      *dedup
+	seen        packet.SeenWindow // bicast and page-flood copies arrive more than once
 
 	// Per-MN scratch for the measurement/decision tick, so steady-state
 	// Evaluate calls allocate nothing.
@@ -129,7 +129,7 @@ func NewMobile(node *netsim.Node, profile *Profile, top *topology.Topology, dir 
 		rng:         rng,
 		servingCell: topology.NoCell,
 		state:       StateIdle,
-		dedupe:      newDedup(1024),
+		seen:        packet.NewSeenWindow(1024),
 	}
 	node.AddAddr(profile.Home)
 	node.SetHandler(m)
@@ -154,39 +154,6 @@ func (m *Mobile) probeResources(cell topology.CellID, handoff bool) bool {
 		return false
 	}
 	return st.CanAdmit(m.profile.DemandBPS, handoff)
-}
-
-// dedup is a small FIFO-evicting duplicate filter (bicast and page floods
-// can deliver copies).
-type dedup struct {
-	seen map[uint64]bool
-	fifo []uint64
-	cap  int
-}
-
-func newDedup(capacity int) *dedup {
-	// The map grows lazily from its first packet: pre-sizing to the
-	// eviction capacity would charge every MN of a 10k population ~48KB
-	// of map tables at build time, while a typical MN holds far fewer
-	// in-flight (flow, seq) pairs than the eviction bound.
-	return &dedup{cap: capacity}
-}
-
-func (d *dedup) duplicate(flow, seq uint32) bool {
-	key := uint64(flow)<<32 | uint64(seq)
-	if d.seen[key] {
-		return true
-	}
-	if d.seen == nil {
-		d.seen = make(map[uint64]bool, 64)
-	}
-	d.seen[key] = true
-	d.fifo = append(d.fifo, key)
-	if len(d.fifo) > d.cap {
-		delete(d.seen, d.fifo[0])
-		d.fifo = d.fifo[1:]
-	}
-	return false
 }
 
 // Node returns the underlying network node.
@@ -287,7 +254,7 @@ func (m *Mobile) requestHandoff(target topology.CellID, speedMPS float64) {
 	if a := m.dir.DomainAuth(st.Cell().Domain); a != nil {
 		m.nonce++
 		req.Nonce = m.nonce
-		copy(req.Token[:], a.Token(m.profile.Home, m.nonce))
+		req.Token = a.Token(m.profile.Home, m.nonce)
 	}
 	m.trace.Emit(m.sched.Now(), obs.KindHandoffRequest, m.traceActor, int32(target), 0, 0)
 	m.pending = &pendingHandoff{target: target, seq: m.seq, sentAt: m.sched.Now()}
@@ -467,7 +434,7 @@ func (m *Mobile) Receive(pkt *packet.Packet, from *netsim.Node, link *netsim.Lin
 		m.commitHandoff(reply)
 		return
 	}
-	if m.dedupe.duplicate(pkt.FlowID, pkt.Seq) {
+	if m.seen.Seen(pkt.FlowID, pkt.Seq) {
 		return
 	}
 	m.goActive()

@@ -1021,7 +1021,7 @@ func (s *Station) maybeRegisterAnchor(mn addr.IP) {
 			// still lands inside the Home Agent's replay window.
 			req.HasAuth = true
 			req.Nonce = uint64(s.sched.Now())
-			copy(req.Token[:], s.anchorAuth.Token(mn, req.Nonce))
+			req.Token = s.anchorAuth.Token(mn, req.Nonce)
 		}
 		out := packet.NewControl(s.node.Addr(), ha, packet.ProtoMobileIP, req.Marshal())
 		if s.stats != nil {

@@ -112,7 +112,7 @@ func (p Params) RangeForRSSI(thresholdDBm float64) float64 {
 // LossProbability maps an SNR in dB to a per-packet loss probability on
 // the wireless hop with a logistic curve: ~50% at 3 dB, <1% above 10 dB,
 // saturating to 1 below 0 dB. The exact curve is a substitution for real
-// fading (see DESIGN.md); experiments depend only on its monotonicity.
+// fading; experiments depend only on its monotonicity.
 func LossProbability(snrDB float64) float64 {
 	const midpoint, steepness = 3.0, 1.2
 	p := 1 / (1 + math.Exp(steepness*(snrDB-midpoint)))

@@ -64,10 +64,10 @@ func TestRSMCAuthorizeVerifiesAndRejectsReplay(t *testing.T) {
 	}
 	r := New(head, a, NewStats(reg, 0))
 	tok := a.Token(mn, 5)
-	if err := r.Authorize(mn, 5, tok); err != nil {
+	if err := r.Authorize(mn, 5, tok[:]); err != nil {
 		t.Fatalf("valid token rejected: %v", err)
 	}
-	if err := r.Authorize(mn, 5, tok); !errors.Is(err, ErrAuthRequired) {
+	if err := r.Authorize(mn, 5, tok[:]); !errors.Is(err, ErrAuthRequired) {
 		t.Fatalf("replay admitted: %v", err)
 	}
 	bad := make([]byte, auth.TokenSize)

@@ -107,7 +107,9 @@ func (e Event) slot() *slot {
 
 // Scheduler is a deterministic discrete-event executor. The zero value is
 // ready to use. Scheduler is not safe for concurrent use; the simulation
-// core is intentionally single-threaded (see DESIGN.md §4).
+// core is intentionally single-threaded, and parallelism comes from
+// running whole scenarios on separate workers (README, "The scenario
+// runner").
 type Scheduler struct {
 	now     time.Duration
 	slots   []slot
