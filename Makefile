@@ -22,7 +22,7 @@ GATE_ONLY ?= BenchmarkE6,BenchmarkE9,BenchmarkE10,BenchmarkE11,BenchmarkE13,Benc
 GATE_BENCH = $(shell echo '$(GATE_ONLY)' | sed 's/Benchmark//g; s/,/|/g')
 GATE_LIMIT ?= 0.15
 
-.PHONY: verify build test check vet lint race race-goldens bench bench-smoke bench-save bench-json bench-compare bench-gate
+.PHONY: verify build test check vet lint race bench bench-smoke bench-save bench-json bench-compare bench-gate
 
 verify: build test
 
@@ -51,12 +51,6 @@ lint: bin/mmlint
 
 race:
 	$(GO) test -race ./...
-
-# race-goldens: the E9–E11/E13/E14 golden suites with the parallel measurement
-# phase (MeasureWorkers=4 pinned in the tests) under the race detector —
-# byte-identity and data-race freedom of the fan-out in one run.
-race-goldens:
-	$(GO) test -race ./internal/experiments -run 'ParallelMeasurement' -count=1
 
 check: vet lint race bench-smoke bench-gate
 
@@ -90,9 +84,9 @@ bench-compare:
 
 # bench-gate: the benchmark-regression gate CI runs — re-measure the
 # gated experiment benchmarks (E6, E9 incl. the 10k-MN column, E10, E11,
-# E13 closed-loop) and
-# fail if ns/op (or allocs/op) regressed beyond GATE_LIMIT versus the
-# committed $(BENCH_JSON) baseline. -count 3 repetitions are min-merged
+# E13 closed-loop, E14 degradation) and fail if ns/op (or allocs/op)
+# regressed beyond GATE_LIMIT versus the committed $(BENCH_JSON)
+# baseline. -count 3 repetitions are min-merged
 # by the compare tool so a noisy machine doesn't flag phantom
 # regressions. The intermediate file keeps a failing bench run from
 # silently passing an empty report through the gate.

@@ -1,8 +1,7 @@
 // Package repro's benchmark harness: one Benchmark per experiment
-// E1–E10 (each E1–E8 doc comment in internal/experiments names the paper
-// figure or claim it reproduces; E9 is the
-// fleet scale sweep and E10 the capacity×population matrix, both at
-// reduced populations) plus micro-benchmarks of the
+// (each E1–E8 doc comment in internal/experiments names the paper
+// figure or claim it reproduces; E9–E11, E13 and E14 are the matrix
+// experiments, at reduced populations) plus micro-benchmarks of the
 // simulator hot paths. Experiment benches run time-scaled
 // scenarios; their per-op cost is "wall time to regenerate the
 // experiment", which tracks simulation throughput.
@@ -16,7 +15,6 @@ import (
 	"repro/internal/addr"
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/fleet"
 	"repro/internal/metrics"
 	"repro/internal/multitier"
 	"repro/internal/packet"
@@ -78,15 +76,12 @@ func BenchmarkE8PagingAndRSMCLoad(b *testing.B) {
 // populations of the default mixed-profile fleet under the multi-tier
 // scheme, with the per-scenario packet arena on.
 func BenchmarkE9ScaleSweep(b *testing.B) {
-	sw := experiments.ScaleSweep{
-		Populations: []int{100, 200},
-		Schemes:     []core.Scheme{core.SchemeMultiTier},
-		Duration:    10 * time.Second,
-		Spec:        fleet.DefaultSpec(),
-	}
+	sw := experiments.DefaultScaleSweep()
+	sw.Populations = []int{100, 200}
+	sw.Schemes = []core.Scheme{core.SchemeMultiTier}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.E9ScaleSweep(benchOpt, sw); err != nil {
+		if _, err := experiments.RunMatrix(benchOpt, &sw); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -99,15 +94,12 @@ func BenchmarkE9ScaleSweep(b *testing.B) {
 // measurement tick O(nearby), so this tracks raw large-population
 // simulation throughput.
 func BenchmarkE9Scale10k(b *testing.B) {
-	sw := experiments.ScaleSweep{
-		Populations: []int{10000},
-		Schemes:     []core.Scheme{core.SchemeMultiTier},
-		Duration:    10 * time.Second,
-		Spec:        fleet.DefaultSpec(),
-	}
+	sw := experiments.DefaultScaleSweep()
+	sw.Populations = []int{10000}
+	sw.Schemes = []core.Scheme{core.SchemeMultiTier}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.E9ScaleSweep(benchOpt, sw); err != nil {
+		if _, err := experiments.RunMatrix(benchOpt, &sw); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -118,17 +110,14 @@ func BenchmarkE9Scale10k(b *testing.B) {
 // output, wall time bounded by the sequential decision phase. On a
 // single-core host it degenerates to the sequential cost.
 func BenchmarkE9Scale10kParallelMeasure(b *testing.B) {
-	sw := experiments.ScaleSweep{
-		Populations: []int{10000},
-		Schemes:     []core.Scheme{core.SchemeMultiTier},
-		Duration:    10 * time.Second,
-		Spec:        fleet.DefaultSpec(),
-	}
+	sw := experiments.DefaultScaleSweep()
+	sw.Populations = []int{10000}
+	sw.Schemes = []core.Scheme{core.SchemeMultiTier}
 	opt := benchOpt
 	opt.MeasureWorkers = runtime.GOMAXPROCS(0)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.E9ScaleSweep(opt, sw); err != nil {
+		if _, err := experiments.RunMatrix(opt, &sw); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -140,15 +129,12 @@ func BenchmarkE9Scale10kParallelMeasure(b *testing.B) {
 // multi-tier only — the planner, root-grid build and budget-override
 // paths all on the clock.
 func BenchmarkE10CapacityMatrix(b *testing.B) {
-	m := experiments.CapacityMatrix{
-		Populations: []int{100, 200},
-		Schemes:     []core.Scheme{core.SchemeMultiTier},
-		Duration:    10 * time.Second,
-		Spec:        fleet.DefaultSpec(),
-	}
+	m := experiments.DefaultCapacityMatrix()
+	m.Populations = []int{100, 200}
+	m.Schemes = []core.Scheme{core.SchemeMultiTier}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.E10CapacityMatrix(benchOpt, m); err != nil {
+		if _, err := experiments.RunMatrix(benchOpt, &m); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -162,7 +148,7 @@ func BenchmarkE11Resilience(b *testing.B) {
 	m := experiments.SuiteResilienceMatrix()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.E11Resilience(benchOpt, m); err != nil {
+		if _, err := experiments.RunMatrix(benchOpt, &m); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -177,7 +163,7 @@ func BenchmarkE13ClosedLoop(b *testing.B) {
 	m := experiments.SuiteClosedLoopMatrix()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.E13ClosedLoop(benchOpt, m); err != nil {
+		if _, err := experiments.RunMatrix(benchOpt, &m); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -193,7 +179,7 @@ func BenchmarkE14Degradation(b *testing.B) {
 	m := experiments.SuiteDegradationMatrix()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.E14Degradation(benchOpt, m); err != nil {
+		if _, err := experiments.RunMatrix(benchOpt, &m); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,17 +1,20 @@
-// Command mmbench regenerates every experiment table E1–E10 (each E1–E8
-// doc comment in internal/experiments names the figure or claim of the
-// paper it reproduces; E9 is the fleet scale
-// sweep and E10 the capacity×population matrix, both run here at their
-// reduced suite shapes — cmd/mmscale drives the full 500→10k axes). Use
-// -scale to shrink run lengths during development, -parallel to spread
-// each experiment's scenarios across workers, and -reps to replicate
-// every scenario and report mean±std cells.
+// Command mmbench regenerates every experiment table: E1–E8 (each doc
+// comment in internal/experiments names the figure or claim of the
+// paper it reproduces) and the matrix experiments — the E9 fleet scale
+// sweep, the E10 capacity×population matrix, the E11 resilience
+// matrix, the E13 closed-loop matrix and the E14 degradation matrix —
+// at the reduced suite shapes the experiments registry lists
+// (cmd/mmscale drives their full axes). Use -scale to shrink run
+// lengths during development, -parallel to spread each experiment's
+// scenarios across workers, and -reps to replicate every scenario and
+// report mean±std cells.
 //
 // Example:
 //
 //	mmbench                   # full-length suite, GOMAXPROCS workers
 //	mmbench -scale 0.1        # 10x shorter scenarios
 //	mmbench -only E6          # a single experiment
+//	mmbench -only E13         # one matrix experiment at its suite shape
 //	mmbench -reps 5 -seed 42  # 5 replications per cell
 //	mmbench -parallel 1       # sequential (same tables as parallel)
 package main
@@ -23,6 +26,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"time"
 
 	"repro/internal/experiments"
@@ -36,14 +40,15 @@ func main() {
 }
 
 func run(args []string) error {
+	all := suite()
+	ids := make([]string, len(all))
+	for i, e := range all {
+		ids[i] = e.id
+	}
 	fs := flag.NewFlagSet("mmbench", flag.ContinueOnError)
+	options := experiments.OptionFlags(fs)
 	var (
-		seed       = fs.Int64("seed", 1, "base seed")
-		scale      = fs.Float64("scale", 1.0, "duration multiplier (e.g. 0.1 for quick runs)")
-		only       = fs.String("only", "", "run a single experiment (E1..E10)")
-		reps       = fs.Int("reps", 1, "replications per scenario (cells become mean±std)")
-		parallel   = fs.Int("parallel", runtime.GOMAXPROCS(0), "scenario workers per experiment")
-		measurew   = fs.Int("measureworkers", 1, "per-scenario measurement workers (0 = GOMAXPROCS); results are byte-identical for any count")
+		only       = fs.String("only", "", "run a single experiment ("+strings.Join(ids, ", ")+")")
 		jsonOut    = fs.String("json", "", "write a machine-readable run summary (experiments, reps, worker counts, elapsed) to this file ('-' = stderr)")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = fs.String("memprofile", "", "write an allocation profile to this file on exit")
@@ -51,13 +56,8 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	mw := *measurew
-	if mw == 0 {
-		mw = runtime.GOMAXPROCS(0)
-	}
-	opt := experiments.Options{Seed: *seed, TimeScale: *scale, Reps: *reps, Parallel: *parallel,
-		MeasureWorkers: mw}
-	if err := opt.Validate(); err != nil {
+	opt, err := options()
+	if err != nil {
 		return err
 	}
 	if *cpuprofile != "" {
@@ -87,26 +87,6 @@ func run(args []string) error {
 		}()
 	}
 
-	type exp struct {
-		id  string
-		run func(experiments.Options) (*experiments.Table, error)
-	}
-	all := []exp{
-		{"E1", experiments.E1MobileIPProcedures},
-		{"E2", experiments.E2CellularIPHandoff},
-		{"E3", experiments.E3LocationManagement},
-		{"E4", experiments.E4InterDomain},
-		{"E5", experiments.E5IntraDomain},
-		{"E6", experiments.E6SchemeComparison},
-		{"E7", experiments.E7ResourceSwitching},
-		{"E8", experiments.E8PagingAndRSMCLoad},
-		{"E9", func(o experiments.Options) (*experiments.Table, error) {
-			return experiments.E9ScaleSweep(o, experiments.SuiteScaleSweep())
-		}},
-		{"E10", func(o experiments.Options) (*experiments.Table, error) {
-			return experiments.E10CapacityMatrix(o, experiments.SuiteCapacityMatrix())
-		}},
-	}
 	ran := 0
 	start := time.Now()
 	for _, e := range all {
@@ -125,15 +105,15 @@ func run(args []string) error {
 	}
 	elapsed := time.Since(start)
 	fmt.Fprintf(os.Stderr, "mmbench: %d experiment(s), %d rep(s), %d worker(s), %d measure worker(s) in %v\n",
-		ran, *reps, *parallel, mw, elapsed.Round(time.Millisecond))
+		ran, opt.Reps, opt.Parallel, opt.MeasureWorkers, elapsed.Round(time.Millisecond))
 	if *jsonOut != "" {
 		summary := runSummary{
 			Experiments:    ran,
-			Reps:           *reps,
-			Parallel:       *parallel,
-			MeasureWorkers: mw,
-			TimeScale:      *scale,
-			Seed:           *seed,
+			Reps:           opt.Reps,
+			Parallel:       opt.Parallel,
+			MeasureWorkers: opt.MeasureWorkers,
+			TimeScale:      opt.TimeScale,
+			Seed:           opt.Seed,
 			ElapsedMS:      elapsed.Milliseconds(),
 		}
 		if err := writeSummary(*jsonOut, summary); err != nil {
@@ -141,6 +121,32 @@ func run(args []string) error {
 		}
 	}
 	return nil
+}
+
+type experiment struct {
+	id  string
+	run func(experiments.Options) (*experiments.Table, error)
+}
+
+// suite lists every experiment mmbench can run, in table order: E1–E8,
+// then each registered matrix at its suite shape.
+func suite() []experiment {
+	all := []experiment{
+		{"E1", experiments.E1MobileIPProcedures},
+		{"E2", experiments.E2CellularIPHandoff},
+		{"E3", experiments.E3LocationManagement},
+		{"E4", experiments.E4InterDomain},
+		{"E5", experiments.E5IntraDomain},
+		{"E6", experiments.E6SchemeComparison},
+		{"E7", experiments.E7ResourceSwitching},
+		{"E8", experiments.E8PagingAndRSMCLoad},
+	}
+	for _, e := range experiments.Matrices() {
+		all = append(all, experiment{e.ID, func(o experiments.Options) (*experiments.Table, error) {
+			return experiments.RunMatrix(o, e.Suite())
+		}})
+	}
+	return all
 }
 
 // runSummary is the -json document: enough metadata to attribute a

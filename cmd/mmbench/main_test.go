@@ -64,3 +64,11 @@ func TestRunJSONSummaryRecordsWorkerCounts(t *testing.T) {
 		t.Fatalf("summary fields wrong: %+v", got)
 	}
 }
+
+// TestRunMatrixExperiment reaches a matrix experiment past E10 through
+// the registry: -only E11 runs the resilience matrix at its suite shape.
+func TestRunMatrixExperiment(t *testing.T) {
+	if err := run([]string{"-scale", "0.02", "-only", "E11"}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -69,12 +69,8 @@ func main() {
 func run(args []string) error {
 	def := experiments.DefaultScaleSweep()
 	fs := flag.NewFlagSet("mmscale", flag.ContinueOnError)
+	options := experiments.OptionFlags(fs)
 	var (
-		seed       = fs.Int64("seed", 1, "base seed")
-		scale      = fs.Float64("scale", 1.0, "duration multiplier (e.g. 0.1 for quick runs)")
-		reps       = fs.Int("reps", 1, "replications per cell (cells become mean±std)")
-		parallel   = fs.Int("parallel", runtime.GOMAXPROCS(0), "scenario workers")
-		measurew   = fs.Int("measureworkers", 1, "per-scenario measurement workers (0 = GOMAXPROCS); results are byte-identical for any count")
 		mns        = fs.String("mns", joinInts(def.Populations), "comma-separated population axis")
 		schemes    = fs.String("schemes", joinSchemes(def.Schemes), "comma-separated schemes to sweep")
 		duration   = fs.Duration("duration", def.Duration, "virtual span of each scenario")
@@ -96,7 +92,7 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	sw := experiments.ScaleSweep{Duration: *duration, PerProfileSignalling: *signalling}
+	sw := experiments.ScaleSweep{Axis: experiments.Axis{Duration: *duration}, PerProfileSignalling: *signalling}
 	var err error
 	if sw.Populations, err = parseInts(*mns); err != nil {
 		return fmt.Errorf("-mns: %w", err)
@@ -107,18 +103,13 @@ func run(args []string) error {
 	if sw.Spec, err = fleet.ParseSpec(*fleetArg); err != nil {
 		return fmt.Errorf("-fleet: %w", err)
 	}
-	mw := *measurew
-	if mw == 0 {
-		mw = runtime.GOMAXPROCS(0)
+	opt, err := options()
+	if err != nil {
+		return err
 	}
-	opt := experiments.Options{Seed: *seed, TimeScale: *scale, Reps: *reps, Parallel: *parallel,
-		MeasureWorkers: mw}
 	if *trace {
 		opt.Obs = &obs.Config{SampleInterval: *sample, PacketSampleEvery: 64}
 		opt.TraceDir = *traceout
-	}
-	if err := opt.Validate(); err != nil {
-		return err
 	}
 
 	modes := 0
@@ -134,86 +125,53 @@ func run(args []string) error {
 		return fmt.Errorf("-faultprofiles requires -faults or -degrade")
 	}
 
-	start := time.Now()
-	var tbl *experiments.Table
-	if *faultsRun {
-		profiles, perr := parseFaultProfiles(*faultprofs)
-		if perr != nil {
-			return fmt.Errorf("-faultprofiles: %w", perr)
+	profiles, err := parseFaultProfiles(*faultprofs)
+	if err != nil {
+		return fmt.Errorf("-faultprofiles: %w", err)
+	}
+
+	// The fault and crowd matrices carry their own default axes (E11 a
+	// smaller population axis, E13/E14 their own crowds on multi-tier
+	// only); explicitly set axis flags still override them. ax and
+	// nSchemes are the axis that actually runs.
+	var m experiments.Matrix
+	ax, nSchemes := &sw.Axis, len(sw.Schemes)
+	switch {
+	case *faultsRun:
+		r := experiments.DefaultResilienceMatrix()
+		r.Schemes, r.Profiles = sw.Schemes, profiles
+		overrideAxis(fs, &r.Axis, sw.Axis, nil, 0)
+		m, ax = &r, &r.Axis
+	case *closedloop, *degradeRun:
+		c := experiments.DefaultClosedLoopMatrix()
+		if *degradeRun {
+			c = experiments.DefaultDegradationMatrix()
 		}
-		m := experiments.DefaultResilienceMatrix()
-		m.Schemes = sw.Schemes
-		m.Duration = sw.Duration
-		m.Spec = sw.Spec
-		m.Profiles = profiles
-		// The resilience matrix has its own (smaller) default population
-		// axis; an explicit -mns still overrides it.
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "mns" {
-				m.Populations = sw.Populations
-			}
-		})
-		tbl, err = experiments.E11Resilience(opt, m)
-	} else if *closedloop {
-		// The closed-loop matrix runs its own hotspot crowd against the
-		// multi-tier scheme only; explicit axis flags still override.
-		m := experiments.DefaultClosedLoopMatrix()
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "mns":
-				m.Populations = sw.Populations
-			case "duration":
-				m.Duration = sw.Duration
-			case "fleet":
-				m.Spec = sw.Spec
-			case "sample":
-				m.SampleInterval = *sample
-			}
-		})
-		tbl, err = experiments.E13ClosedLoop(opt, m)
-	} else if *degradeRun {
-		profiles, perr := parseFaultProfiles(*faultprofs)
-		if perr != nil {
-			return fmt.Errorf("-faultprofiles: %w", perr)
-		}
-		// The degradation matrix runs its own three-class crowd against
-		// the multi-tier scheme only; explicit axis flags still override.
-		m := experiments.DefaultDegradationMatrix()
-		m.Profiles = profiles
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "mns":
-				m.Populations = sw.Populations
-			case "duration":
-				m.Duration = sw.Duration
-			case "fleet":
-				m.Spec = sw.Spec
-			case "sample":
-				m.SampleInterval = *sample
-			}
-		})
-		tbl, err = experiments.E14Degradation(opt, m)
-	} else if *dimension {
-		tbl, err = experiments.E10CapacityMatrix(opt, experiments.CapacityMatrix{
-			Populations: sw.Populations,
-			Schemes:     sw.Schemes,
-			Duration:    sw.Duration,
-			Spec:        sw.Spec,
+		c.Profiles = profiles
+		overrideAxis(fs, &c.Axis, sw.Axis, &c.SampleInterval, *sample)
+		m, ax, nSchemes = &c, &c.Axis, 1
+	case *dimension:
+		cm := experiments.CapacityMatrix{
+			Axis:    sw.Axis,
+			Schemes: sw.Schemes,
 			Planner: capacity.PlannerConfig{
 				Density:  capacity.Density(*density),
 				Headroom: *headroom,
 			},
 			PerRootOccupancy: *rootocc,
-		})
-	} else {
-		tbl, err = experiments.E9ScaleSweep(opt, sw)
+		}
+		m = &cm
+	default:
+		m = &sw
 	}
+	start := time.Now()
+	tbl, err := experiments.RunMatrix(opt, m)
 	if err != nil {
 		return err
 	}
 	fmt.Println(tbl)
 	fmt.Fprintf(os.Stderr, "mmscale: %d population(s) x %d scheme(s), %d rep(s), %d worker(s), %d measure worker(s) in %v\n",
-		len(sw.Populations), len(sw.Schemes), *reps, *parallel, mw, time.Since(start).Round(time.Millisecond))
+		len(ax.Populations), nSchemes, opt.Reps, opt.Parallel, opt.MeasureWorkers, time.Since(start).Round(time.Millisecond))
 	if *memstats {
 		var m runtime.MemStats
 		runtime.ReadMemStats(&m)
@@ -221,6 +179,26 @@ func run(args []string) error {
 			m.HeapAlloc>>20, m.HeapSys>>20, m.TotalAlloc>>20, m.NumGC)
 	}
 	return nil
+}
+
+// overrideAxis copies the axis flags set explicitly on the command line
+// (-mns, -duration, -fleet, and -sample where the matrix has a cadence)
+// from the flag-built axis onto a matrix's own defaults.
+func overrideAxis(fs *flag.FlagSet, dst *experiments.Axis, flags experiments.Axis, dstSample *time.Duration, sample time.Duration) {
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "mns":
+			dst.Populations = flags.Populations
+		case "duration":
+			dst.Duration = flags.Duration
+		case "fleet":
+			dst.Spec = flags.Spec
+		case "sample":
+			if dstSample != nil {
+				*dstSample = sample
+			}
+		}
+	})
 }
 
 func joinInts(vals []int) string {
@@ -232,7 +210,7 @@ func joinInts(vals []int) string {
 }
 
 // parseInts parses the population axis, enforcing the same rules
-// experiments.ScaleSweep.Validate applies — strictly ascending positive
+// experiments.Axis.Validate applies — strictly ascending positive
 // counts — so a bad -mns fails here with a flag-shaped error instead of
 // surfacing later as a sweep error (or, before validation existed,
 // silently doubling runs and rendering misordered tables).

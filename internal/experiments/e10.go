@@ -3,11 +3,9 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/capacity"
 	"repro/internal/core"
-	"repro/internal/fleet"
 	"repro/internal/multitier"
 	"repro/internal/runner"
 	"repro/internal/topology"
@@ -21,18 +19,13 @@ import (
 // shows what the schemes cost when the hierarchy is actually sized for
 // the load.
 type CapacityMatrix struct {
-	// Populations is the ascending MN-count axis (same validation rules
-	// as ScaleSweep).
-	Populations []int
-	// Schemes are compared at each (population, topology) cell.
+	Axis
+	// Schemes are the mobility-management schemes compared in each
+	// column.
 	Schemes []core.Scheme
-	// Duration is the virtual span of each scenario.
-	Duration time.Duration
-	// Spec is the population mix; the dimensioning planner sizes arenas
-	// from this same mix, so supply and demand use one demand model.
-	Spec fleet.Spec
 	// Planner tunes the dimensioned column (zero value = documented
-	// planner defaults).
+	// planner defaults). It sizes arenas from the axis's Spec, so supply
+	// and demand use one demand model.
 	Planner capacity.PlannerConfig
 	// PerRootOccupancy adds a load-balance column: the spread of mean
 	// channel occupancy across the grid's root subtrees, showing where
@@ -42,25 +35,20 @@ type CapacityMatrix struct {
 	PerRootOccupancy bool
 }
 
-// Validate applies the ScaleSweep axis rules to the matrix.
-func (m CapacityMatrix) Validate() error {
-	return ScaleSweep{
-		Populations: m.Populations,
-		Schemes:     m.Schemes,
-		Duration:    m.Duration,
-		Spec:        m.Spec,
-	}.Validate()
-}
-
 // DefaultCapacityMatrix is the full matrix cmd/mmscale -dimension runs:
 // 500 → 10k MNs, fixed vs dimensioned, every scheme, default urban mix.
 func DefaultCapacityMatrix() CapacityMatrix {
-	return CapacityMatrix{
-		Populations: []int{500, 1000, 2000, 5000, 10000},
-		Schemes:     core.Schemes(),
-		Duration:    10 * time.Second,
-		Spec:        fleet.DefaultSpec(),
+	sw := DefaultScaleSweep()
+	return CapacityMatrix{Axis: sw.Axis, Schemes: sw.Schemes}
+}
+
+// Validate applies the Axis rules plus a non-empty scheme axis; the
+// planner is checked when the plan dimensions each population.
+func (m CapacityMatrix) Validate() error {
+	if err := m.Axis.Validate(); err != nil {
+		return err
 	}
+	return validSchemes(m.Schemes)
 }
 
 // SuiteCapacityMatrix is the reduced matrix mmbench's E10 entry and the
@@ -74,35 +62,17 @@ func SuiteCapacityMatrix() CapacityMatrix {
 	return m
 }
 
-// E10CapacityMatrix measures admission outcomes, utilization and QoE
-// across the capacity×population matrix. The honest-scaling claim it
-// pins: on the fixed topology the multi-tier scheme's capacity-shed rate
-// explodes with the population (the arena is exhausted), while on the
+// plan measures admission outcomes, utilization and QoE across the
+// capacity×population matrix. The honest-scaling claim it pins: on the
+// fixed topology the multi-tier scheme's capacity-shed rate explodes
+// with the population (the arena is exhausted), while on the
 // dimensioned arena the shed rate stays low and what remains is the
 // scheme's own mobility-management cost.
 //
-// Like E9 it is not part of All: its cost axis is population and
-// topology size, so it is invoked deliberately (cmd/mmscale -dimension,
-// mmbench E10, BenchmarkE10CapacityMatrix, or the pinned golden test).
-func E10CapacityMatrix(opt Options, m CapacityMatrix) (*Table, error) {
-	opt, err := opt.normalized()
-	if err != nil {
-		return nil, err
-	}
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	p, err := e10Plan(opt, m)
-	if err != nil {
-		return nil, err
-	}
-	return opt.run(p)
-}
-
-// e10Plan dimensions every population up front so a degenerate planner
-// config (or a population past the address budget) fails before a single
-// scenario runs, not after the whole matrix has been executed.
-func e10Plan(opt Options, m CapacityMatrix) (plan, error) {
+// It dimensions every population up front so a degenerate planner
+// config (or a population past the address budget) fails before a
+// single scenario runs, not after the whole matrix has been executed.
+func (m CapacityMatrix) plan(opt Options) (plan, error) {
 	type meta struct {
 		mns    int
 		mode   string
@@ -119,14 +89,7 @@ func e10Plan(opt Options, m CapacityMatrix) (plan, error) {
 		}
 		for _, mode := range []string{"fixed", "dimensioned"} {
 			for _, scheme := range m.Schemes {
-				cfg := core.DefaultConfig()
-				cfg.Scheme = scheme
-				cfg.Topology = oneRoot()
-				cfg.Duration = opt.scale(m.Duration)
-				cfg.NumMNs = n
-				spec := m.Spec
-				cfg.Fleet = &spec
-				cfg.PacketArena = true
+				cfg := m.cell(opt, scheme, n)
 				cells := oneRoot().CellCount()
 				if mode == "dimensioned" {
 					cfg.Capacity = dim

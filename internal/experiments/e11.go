@@ -17,63 +17,39 @@ import (
 // handoff loss, session survival, signalling load and recovery speed on
 // identical deterministic fault schedules.
 type ResilienceMatrix struct {
-	// Populations is the ascending MN-count axis (same validation rules
-	// as ScaleSweep).
-	Populations []int
-	// Schemes are compared under each (population, profile) cell.
+	Axis
+	// Schemes are the mobility-management schemes compared in each
+	// row group.
 	Schemes []core.Scheme
-	// Duration is the virtual span of each scenario; fault windows are
-	// fractions of it.
-	Duration time.Duration
-	// Spec is the population mix (the same demand model E9/E10 use).
-	Spec fleet.Spec
-	// Profiles are the fault plans to inject, one row group per profile.
-	// Empty takes faults.Profiles() — baseline, root-outage,
-	// link-degrade, radio-fade.
-	Profiles []faults.NamedPlan
-}
-
-// Validate applies the ScaleSweep axis rules plus per-profile plan
-// validation.
-func (m ResilienceMatrix) Validate() error {
-	if err := (ScaleSweep{
-		Populations: m.Populations,
-		Schemes:     m.Schemes,
-		Duration:    m.Duration,
-		Spec:        m.Spec,
-	}).Validate(); err != nil {
-		return err
-	}
-	for _, np := range m.profiles() {
-		if np.Name == "" {
-			return fmt.Errorf("%w: unnamed fault profile", faults.ErrBadPlan)
-		}
-		if np.Plan == nil {
-			return fmt.Errorf("%w: profile %q has no plan", faults.ErrBadPlan, np.Name)
-		}
-		if err := np.Plan.Validate(); err != nil {
-			return fmt.Errorf("profile %q: %w", np.Name, err)
-		}
-	}
-	return nil
-}
-
-func (m ResilienceMatrix) profiles() []faults.NamedPlan {
-	if len(m.Profiles) == 0 {
-		return faults.Profiles()
-	}
-	return m.Profiles
+	// Profiles are the fault plans injected; empty takes
+	// faults.Profiles() — baseline, root-outage, link-degrade,
+	// radio-fade and storm.
+	Profiles FaultProfiles
 }
 
 // DefaultResilienceMatrix is the full matrix cmd/mmscale -faults runs:
 // two populations, every scheme, all standard fault profiles.
 func DefaultResilienceMatrix() ResilienceMatrix {
 	return ResilienceMatrix{
-		Populations: []int{500, 2000},
-		Schemes:     core.Schemes(),
-		Duration:    10 * time.Second,
-		Spec:        fleet.DefaultSpec(),
+		Axis: Axis{
+			Populations: []int{500, 2000},
+			Duration:    10 * time.Second,
+			Spec:        fleet.DefaultSpec(),
+		},
+		Schemes: core.Schemes(),
 	}
+}
+
+// Validate applies the Axis rules plus a non-empty scheme axis and
+// well-formed fault profiles.
+func (m ResilienceMatrix) Validate() error {
+	if err := m.Axis.Validate(); err != nil {
+		return err
+	}
+	if err := validSchemes(m.Schemes); err != nil {
+		return err
+	}
+	return m.Profiles.Validate()
 }
 
 // SuiteResilienceMatrix is the reduced matrix the benchmark harness
@@ -88,40 +64,19 @@ func SuiteResilienceMatrix() ResilienceMatrix {
 			root = np
 		}
 	}
-	m.Profiles = []faults.NamedPlan{root}
+	m.Profiles = FaultProfiles{root}
 	return m
 }
 
-// E11Resilience measures fault tolerance across the population × fault
-// profile × scheme matrix. The resilience claim it pins: the multi-tier
-// architecture localises a root outage to one domain and re-registers
-// its population through the location-refresh machinery, while plain
-// Mobile IP rides retransmission backoff and reattempt timers, and
-// Cellular IP rebuilds soft-state caches from data/paging traffic — all
-// three visible as session survival, t90 recovery time and signalling
-// load under identical deterministic fault schedules.
-//
-// Like E9/E10 it is not part of All: it runs deliberately via
-// cmd/mmscale -faults, BenchmarkE11Resilience, or the pinned golden.
-func E11Resilience(opt Options, m ResilienceMatrix) (*Table, error) {
-	opt, err := opt.normalized()
-	if err != nil {
-		return nil, err
-	}
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	return opt.run(e11Plan(opt, m))
-}
-
-// defaultAuthCPUCostNS is the modelled CPU spend per MHAE sign/verify
-// operation in E11 runs: a keyed-hash over a short registration message
-// lands in the low microseconds on period hardware, and the exact value
-// is inert anyway — it feeds only the mip.auth.cpu_ns accounting column,
-// never packet timing.
-const defaultAuthCPUCostNS = 2500
-
-func e11Plan(opt Options, m ResilienceMatrix) plan {
+// plan lays the jobs out population-major, then profile, then scheme.
+// The claim the table pins: the multi-tier architecture localises a
+// root outage to one domain and re-registers its population through the
+// location-refresh machinery, while plain Mobile IP rides retransmission
+// backoff and reattempt timers, and Cellular IP rebuilds soft-state
+// caches from data/paging traffic — all three visible as session
+// survival, t90 recovery time and signalling load under identical
+// deterministic fault schedules.
+func (m ResilienceMatrix) plan(opt Options) (plan, error) {
 	type meta struct {
 		mns     int
 		profile string
@@ -130,19 +85,10 @@ func e11Plan(opt Options, m ResilienceMatrix) plan {
 	var jobs []runner.Job
 	var metas []meta
 	for _, n := range m.Populations {
-		for _, np := range m.profiles() {
+		for _, np := range m.Profiles.or(faults.Profiles) {
 			for _, scheme := range m.Schemes {
-				cfg := core.DefaultConfig()
-				cfg.Scheme = scheme
-				cfg.Topology = oneRoot()
-				cfg.Duration = opt.scale(m.Duration)
-				cfg.NumMNs = n
-				spec := m.Spec
-				cfg.Fleet = &spec
-				cfg.PacketArena = true
-				cfg.AuthEnabled = true
-				cfg.AuthCPUCostNS = defaultAuthCPUCostNS
-				cfg.Faults = np.Plan
+				cfg := m.cell(opt, scheme, n)
+				armFaults(&cfg, np)
 				jobs = append(jobs, runner.Job{
 					Label:  fmt.Sprintf("%s@%d-MNs-%s", scheme, n, np.Name),
 					Config: cfg,
@@ -186,7 +132,7 @@ func e11Plan(opt Options, m ResilienceMatrix) plan {
 			t.AddNote("auth-cpu = modelled MHAE sign/verify CPU spend (mip.auth.cpu_ns); zero for Cellular IP, which carries no Mobile IP leg")
 			return t, nil
 		},
-	}
+	}, nil
 }
 
 // survivalRate is the end-of-run registered fraction of one run.

@@ -1,96 +1,62 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
-	"repro/internal/capacity"
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/fleet"
-	"repro/internal/obs"
 	"repro/internal/runner"
 	"repro/internal/topology"
 )
 
-// ClosedLoopMatrix parameterises E13: the closed QoE feedback loop
-// measured against its own open-loop baseline. Every population runs a
-// dimensioned multi-tier arena under every fault profile twice — once
-// with telemetry recording only (open) and once with Config.Control
-// armed (closed: elastic admission shifting budgets toward the hot
-// root, plus post-fault pre-paging) — so each row pair isolates what
-// the feedback loop bought on identical deterministic schedules.
-type ClosedLoopMatrix struct {
-	// Populations is the ascending MN-count axis (same validation rules
-	// as ScaleSweep). The capacity planner dimensions each population,
-	// so crowd sizes map to multi-root arenas.
-	Populations []int
-	// Duration is the virtual span of each scenario; fault windows are
-	// fractions of it and control windows scale from it.
-	Duration time.Duration
-	// Spec is the population mix. The default HotspotSpec concentrates
-	// every class around the first root's subtree so one root runs hot
-	// while the others idle — the shape elastic admission exists for.
-	Spec fleet.Spec
-	// Profiles are the fault plans injected under both loop modes.
-	// Empty takes closedLoopProfiles(): baseline (no faults, probes
-	// armed) and root-blackout (every root down mid-run, so recovery
-	// speed compares on the hot root too).
-	Profiles []faults.NamedPlan
-	// Planner dimensions the arena per population (zero value = urban
-	// defaults, like E10).
-	Planner capacity.PlannerConfig
-	// SampleInterval is the telemetry cadence both loop modes record
-	// at; the closed loop also decides on it. Zero takes Duration/100.
-	SampleInterval time.Duration
+// closedLoop is E13's policy: the closed loop measured against its own
+// open-loop baseline. The open twin records telemetry only; the closed
+// twin arms Config.Control — elastic admission shifting budgets toward
+// the hot root, plus post-fault pre-paging.
+//
+// The claim it pins: deciding from the same sim-time telemetry the run
+// records anyway, elastic admission moves channel budget from idle
+// roots to the hot one (shed-capacity and loss drop) and survival-dip
+// pre-paging pulls post-blackout re-registration forward (t90 drops) —
+// while staying byte-identical between sequential and parallel
+// measurement, because every decision derives from samples on the
+// sampling cadence.
+var closedLoop = crowdPolicy{
+	num:      13,
+	id:       "E13",
+	title:    "Closed-loop control: open vs closed x fault profile (mix %s, dimensioned, auth on)",
+	column:   "loop",
+	modes:    [2]string{"open", "closed"},
+	arm:      func(cfg *core.Config) { cfg.Control = e13Control(cfg.Duration) },
+	standard: closedLoopProfiles,
+	header: []string{"loss", "survival", "t90 recovery",
+		"admitted", "shed-capacity", "shed-fault",
+		"alerts", "shifted-ch", "prepages"},
+	cells: func(r runner.JobResult) []string {
+		return []string{
+			fmtStatPct(r.LossRate()),
+			fmtStatPct(r.Stat(survivalRate)),
+			t90Recovery(r),
+			fmtStatI(r.Counter("tier.admission.admitted")),
+			fmtStatI(r.Counter("tier.admission.shed_capacity")),
+			fmtStatI(r.Counter("tier.admission.shed_fault")),
+			fmtStatI(r.Counter("ctl.alerts.raised")),
+			fmtStatI(r.Counter("ctl.shift.channels")),
+			fmtStatI(r.Counter("ctl.prepage.signals"))}
+	},
+	notes: func(t *Table) {
+		t.AddNote("open rows record the same telemetry at the same cadence but attach no policy: every ctl.* column reads 0 and the pair isolates the feedback loop's effect")
+		t.AddNote("elastic admission: occupancy mean > %.2f for %s shifts %.0f%% of the coolest root's per-station budgets to the hot root (reverted on clear); shifted-ch counts channels moved", 0.80, "dur/20", 50.0)
+		t.AddNote("pre-paging: registered fraction < %.2f forces the still-unregistered MNs' location refreshes forward on every sampling tick instead of waiting out idle paging timers", 0.90)
+		t.AddNote("t90 recovery as in E11; the blackout downs every root, so closed-loop rows measure pre-paging on the hot root's own storm")
+	},
 }
 
-// Validate applies the ScaleSweep axis rules plus per-profile plan
-// validation. The scheme axis is fixed: only multitier-rsmc has
-// per-root admission budgets to shift.
-func (m ClosedLoopMatrix) Validate() error {
-	if err := (ScaleSweep{
-		Populations: m.Populations,
-		Schemes:     []core.Scheme{core.SchemeMultiTier},
-		Duration:    m.Duration,
-		Spec:        m.Spec,
-	}).Validate(); err != nil {
-		return err
-	}
-	if m.SampleInterval < 0 {
-		return fmt.Errorf("%w: negative sample interval %v", ErrBadOptions, m.SampleInterval)
-	}
-	for _, np := range m.profiles() {
-		if np.Name == "" {
-			return fmt.Errorf("%w: unnamed fault profile", faults.ErrBadPlan)
-		}
-		if np.Plan == nil {
-			return fmt.Errorf("%w: profile %q has no plan", faults.ErrBadPlan, np.Name)
-		}
-		if err := np.Plan.Validate(); err != nil {
-			return fmt.Errorf("profile %q: %w", np.Name, err)
-		}
-	}
-	return nil
-}
-
-func (m ClosedLoopMatrix) profiles() []faults.NamedPlan {
-	if len(m.Profiles) == 0 {
-		return closedLoopProfiles()
-	}
-	return m.Profiles
-}
-
-func (m ClosedLoopMatrix) sample() time.Duration {
-	if m.SampleInterval > 0 {
-		return m.SampleInterval
-	}
-	return m.Duration / 100
-}
-
-// closedLoopProfiles are the default E13 fault rows. The blackout asks
-// for more roots than any dimensioned arena has, and the fault expander
-// clamps the count to the cells that exist — so every root goes down,
+// closedLoopProfiles are the default E13 fault rows: baseline (no
+// faults, probes armed) and root-blackout. The blackout asks for more
+// roots than any dimensioned arena has, and the fault expander clamps
+// the count to the cells that exist — so every root goes down,
 // deterministically including the hot one, and the t90 column compares
 // recovery of the same storm with and without pre-paging.
 func closedLoopProfiles() []faults.NamedPlan {
@@ -117,52 +83,29 @@ func HotspotSpec() fleet.Spec {
 	}}
 }
 
-// DefaultClosedLoopMatrix is the full matrix cmd/mmscale -closedloop
+// DefaultClosedLoopMatrix is the full E13 matrix cmd/mmscale -closedloop
 // runs: two crowd sizes (2 and 3 roots dimensioned), both default
 // profiles, open vs closed. A root's subtree always spans 4 domains of
 // floor-budget small cells (~576 channels), so crowds from ~500 up run
 // the hot subtree past the 0.80 occupancy trigger.
-func DefaultClosedLoopMatrix() ClosedLoopMatrix {
-	return ClosedLoopMatrix{
-		Populations: []int{500, 800},
-		Duration:    10 * time.Second,
-		Spec:        HotspotSpec(),
+func DefaultClosedLoopMatrix() CrowdMatrix {
+	return CrowdMatrix{
+		Axis: Axis{
+			Populations: []int{500, 800},
+			Duration:    10 * time.Second,
+			Spec:        HotspotSpec(),
+		},
+		policy: &closedLoop,
 	}
 }
 
-// SuiteClosedLoopMatrix is the reduced matrix the benchmark harness
-// runs: one crowd, the blackout profile only.
-func SuiteClosedLoopMatrix() ClosedLoopMatrix {
+// SuiteClosedLoopMatrix is the reduced E13 matrix mmbench and the
+// benchmark harness run: one crowd, the blackout profile only.
+func SuiteClosedLoopMatrix() CrowdMatrix {
 	m := DefaultClosedLoopMatrix()
 	m.Populations = []int{500}
 	m.Profiles = closedLoopProfiles()[1:]
 	return m
-}
-
-// E13ClosedLoop measures the closed QoE feedback loop against its
-// open-loop twin. The claim it pins: deciding from the same sim-time
-// telemetry the run records anyway, elastic admission moves channel
-// budget from idle roots to the hot one (shed-capacity and loss drop)
-// and survival-dip pre-paging pulls post-blackout re-registration
-// forward (t90 drops) — while staying byte-identical between sequential
-// and parallel measurement, because every decision derives from samples
-// on the sampling cadence.
-//
-// Like E9–E11 it is not part of All: it runs deliberately via
-// cmd/mmscale -closedloop, BenchmarkE13ClosedLoop, or the pinned golden.
-func E13ClosedLoop(opt Options, m ClosedLoopMatrix) (*Table, error) {
-	opt, err := opt.normalized()
-	if err != nil {
-		return nil, err
-	}
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	p, err := e13Plan(opt, m)
-	if err != nil {
-		return nil, err
-	}
-	return opt.run(p)
 }
 
 // e13Control is the policy both closed rows and the improvement tests
@@ -184,95 +127,4 @@ func e13Control(dur time.Duration) *core.ControlConfig {
 			MinDuration:       0,
 		},
 	}
-}
-
-// e13Config assembles one matrix cell: a dimensioned hotspot arena with
-// faults and telemetry armed, plus the control loop when closed. Both
-// modes pin their own Obs (the runner leaves a pinned Obs alone), so
-// open and closed record identically and differ only in Control.
-func e13Config(opt Options, m ClosedLoopMatrix, dim *capacity.Plan, n int, np faults.NamedPlan, closed bool) core.Config {
-	cfg := core.DefaultConfig()
-	cfg.Scheme = core.SchemeMultiTier
-	cfg.Topology = oneRoot()
-	cfg.Duration = opt.scale(m.Duration)
-	cfg.NumMNs = n
-	spec := m.Spec
-	cfg.Fleet = &spec
-	cfg.PacketArena = true
-	cfg.AuthEnabled = true
-	cfg.AuthCPUCostNS = defaultAuthCPUCostNS
-	cfg.Capacity = dim
-	cfg.Faults = np.Plan
-	// The cadence scales with the run the way fault windows do — as a
-	// fraction of the (scaled) duration, not through opt.scale and its
-	// 2 s floor, which would leave a scaled-down suite with two samples.
-	cfg.Obs = &obs.Config{
-		Capacity:       1 << 17,
-		SampleInterval: time.Duration(float64(m.sample()) * float64(cfg.Duration) / float64(m.Duration)),
-	}
-	if closed {
-		cfg.Control = e13Control(cfg.Duration)
-	}
-	return cfg
-}
-
-// e13Plan dimensions every population up front (fail fast, like E10)
-// and lays the jobs out open/closed adjacent per (population, profile)
-// so the table reads as before/after pairs.
-func e13Plan(opt Options, m ClosedLoopMatrix) (plan, error) {
-	type meta struct {
-		mns     int
-		profile string
-		loop    string
-	}
-	var jobs []runner.Job
-	var metas []meta
-	for _, n := range m.Populations {
-		dim, err := capacity.New(n, m.Spec, m.Planner)
-		if err != nil {
-			return plan{}, fmt.Errorf("dimensioning %d MNs: %w", n, err)
-		}
-		for _, np := range m.profiles() {
-			for _, loop := range []string{"open", "closed"} {
-				cfg := e13Config(opt, m, dim, n, np, loop == "closed")
-				jobs = append(jobs, runner.Job{
-					Label:  fmt.Sprintf("multitier-rsmc@%d-MNs-%s-%s", n, np.Name, loop),
-					Config: cfg,
-				})
-				metas = append(metas, meta{n, np.Name, loop})
-			}
-		}
-	}
-	return plan{
-		num:  13,
-		jobs: jobs,
-		render: func(res []runner.JobResult) (*Table, error) {
-			t := &Table{
-				ID:    "E13",
-				Title: fmt.Sprintf("Closed-loop control: open vs closed x fault profile (mix %s, dimensioned, auth on)", m.Spec.String()),
-				Header: []string{"MNs", "profile", "loop",
-					"loss", "survival", "t90 recovery",
-					"admitted", "shed-capacity", "shed-fault",
-					"alerts", "shifted-ch", "prepages"},
-			}
-			for i, r := range res {
-				mt := metas[i]
-				t.AddRow(fmtI(mt.mns), mt.profile, mt.loop,
-					fmtStatPct(r.LossRate()),
-					fmtStatPct(r.Stat(survivalRate)),
-					t90Recovery(r),
-					fmtStatI(r.Counter("tier.admission.admitted")),
-					fmtStatI(r.Counter("tier.admission.shed_capacity")),
-					fmtStatI(r.Counter("tier.admission.shed_fault")),
-					fmtStatI(r.Counter("ctl.alerts.raised")),
-					fmtStatI(r.Counter("ctl.shift.channels")),
-					fmtStatI(r.Counter("ctl.prepage.signals")))
-			}
-			t.AddNote("open rows record the same telemetry at the same cadence but attach no policy: every ctl.* column reads 0 and the pair isolates the feedback loop's effect")
-			t.AddNote("elastic admission: occupancy mean > %.2f for %s shifts %.0f%% of the coolest root's per-station budgets to the hot root (reverted on clear); shifted-ch counts channels moved", 0.80, "dur/20", 50.0)
-			t.AddNote("pre-paging: registered fraction < %.2f forces the still-unregistered MNs' location refreshes forward on every sampling tick instead of waiting out idle paging timers", 0.90)
-			t.AddNote("t90 recovery as in E11; the blackout downs every root, so closed-loop rows measure pre-paging on the hot root's own storm")
-			return t, nil
-		},
-	}, nil
 }

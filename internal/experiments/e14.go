@@ -1,96 +1,63 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
-	"repro/internal/capacity"
 	"repro/internal/core"
 	"repro/internal/degrade"
 	"repro/internal/faults"
 	"repro/internal/fleet"
-	"repro/internal/obs"
 	"repro/internal/runner"
 )
 
-// DegradationMatrix parameterises E14: graceful degradation measured
-// against the cliff. Every population runs an over-subscribed multi-tier
-// arena under every fault profile twice — once with no degradation
-// machinery (cliff: admission is first-come-first-served until the pool
-// empties, video streams at full rate into the congestion, recovery
-// registrations burst unpaced) and once with Config.Degrade armed
-// (graceful: the class-priority admission ladder defers and preempts,
-// video steps down on the ladder rungs, and the registration-storm
-// breaker paces the anchor's Mobile IP leg) — so each row pair isolates
-// what planned degradation bought on identical deterministic schedules.
-type DegradationMatrix struct {
-	// Populations is the ascending MN-count axis (same validation rules
-	// as ScaleSweep). The capacity planner dimensions each population,
-	// so crowd sizes map to multi-root arenas.
-	Populations []int
-	// Duration is the virtual span of each scenario; fault windows are
-	// fractions of it and the sampling cadence scales from it.
-	Duration time.Duration
-	// Spec is the population mix. The default DegradationSpec piles a
-	// three-class crowd (voice, video, interactive data) onto one root's
-	// subtree, so the ladder has classes to rank and the overload is
-	// concentrated where the ladder watches.
-	Spec fleet.Spec
-	// Profiles are the fault plans injected under both modes. Empty
-	// takes degradationProfiles(): overload (no faults — the crowd alone
-	// is the stressor) and storm (root outage plus radio fade, whose
-	// recovery triggers the re-registration storm the breaker paces).
-	Profiles []faults.NamedPlan
-	// Planner dimensions the arena per population (zero value = urban
-	// defaults, like E10 and E13).
-	Planner capacity.PlannerConfig
-	// SampleInterval is the telemetry cadence both modes record at; the
-	// ladder also evaluates occupancy on it. Zero takes Duration/100.
-	SampleInterval time.Duration
-}
-
-// Validate applies the ScaleSweep axis rules plus per-profile plan
-// validation. The scheme axis is fixed: only multitier-rsmc has the
-// per-cell admission sessions and root anchors the ladder and breaker
-// attach to.
-func (m DegradationMatrix) Validate() error {
-	if err := (ScaleSweep{
-		Populations: m.Populations,
-		Schemes:     []core.Scheme{core.SchemeMultiTier},
-		Duration:    m.Duration,
-		Spec:        m.Spec,
-	}).Validate(); err != nil {
-		return err
-	}
-	if m.SampleInterval < 0 {
-		return fmt.Errorf("%w: negative sample interval %v", ErrBadOptions, m.SampleInterval)
-	}
-	for _, np := range m.profiles() {
-		if np.Name == "" {
-			return fmt.Errorf("%w: unnamed fault profile", faults.ErrBadPlan)
-		}
-		if np.Plan == nil {
-			return fmt.Errorf("%w: profile %q has no plan", faults.ErrBadPlan, np.Name)
-		}
-		if err := np.Plan.Validate(); err != nil {
-			return fmt.Errorf("profile %q: %w", np.Name, err)
-		}
-	}
-	return nil
-}
-
-func (m DegradationMatrix) profiles() []faults.NamedPlan {
-	if len(m.Profiles) == 0 {
-		return degradationProfiles()
-	}
-	return m.Profiles
-}
-
-func (m DegradationMatrix) sample() time.Duration {
-	if m.SampleInterval > 0 {
-		return m.SampleInterval
-	}
-	return m.Duration / 100
+// degradation is E14's policy: graceful degradation measured against
+// the cliff on an over-subscribed arena. The cliff twin runs no
+// degradation machinery (admission is first-come-first-served until the
+// pool empties, video streams at full rate into the congestion,
+// recovery registrations burst unpaced); the graceful twin arms
+// Config.Degrade (the class-priority admission ladder defers and
+// preempts, video steps down on the ladder rungs, and the
+// registration-storm breaker paces the anchor's Mobile IP leg).
+//
+// The claim it pins: under the same overload and the same storm
+// schedule, the class-aware ladder keeps conversational admission and
+// survival high by spending the cheap classes first, and the breaker
+// turns the recovery burst into a paced queue instead of a synchronized
+// spike — while the cliff rows shed whatever arrived last, regardless
+// of class.
+var degradation = crowdPolicy{
+	num:      14,
+	id:       "E14",
+	title:    "Graceful degradation: cliff vs graceful x fault profile (mix %s, dimensioned, auth on)",
+	column:   "mode",
+	modes:    [2]string{"cliff", "graceful"},
+	arm:      func(cfg *core.Config) { cfg.Degrade = e14Degrade() },
+	standard: degradationProfiles,
+	header: []string{"loss", "survival", "voice-surv", "voice-adm", "ho-adm",
+		"deferred", "preempted", "stepdowns", "paced", "t90 recovery"},
+	cells: func(r runner.JobResult) []string {
+		return []string{
+			fmtStatPct(r.LossRate()),
+			fmtStatPct(r.Stat(survivalRate)),
+			fmtStatPct(r.Stat(classSurvival("crowd-voice"))),
+			fmtStatPct(r.Stat(admissionSuccess(
+				"tier.admission.class.conversational.admitted",
+				"tier.admission.class.conversational.refused"))),
+			fmtStatPct(r.Stat(admissionSuccess(
+				"tier.admission.handoff.admitted",
+				"tier.admission.handoff.refused"))),
+			fmtStatI(r.Counter("ctl.degrade.deferred")),
+			fmtStatI(r.Counter("ctl.degrade.preempted")),
+			fmtStatI(r.Counter("ctl.degrade.video_stepdowns")),
+			fmtStatI(r.Counter("ctl.degrade.breaker.paced")),
+			t90Recovery(r)}
+	},
+	notes: func(t *Table) {
+		t.AddNote("cliff rows record the same telemetry at the same cadence but attach no policy: every degradation column reads 0 and the pair isolates what planned degradation bought")
+		t.AddNote("ladder defaults: occupancy %.2f enters level 1 (defer interactive-and-below, preempt lower-priority sessions for handoffs and voice), %.2f deepens; video rate scales by the level's rung (%s)", 0.70, 0.85, "1, 0.6, 0.35")
+		t.AddNote("voice-adm / ho-adm = admitted/(admitted+refused) over conversational-class and handoff admission decisions; the ladder spends data and video to keep both high")
+		t.AddNote("paced counts anchor Mobile IP registrations the storm breaker delayed instead of bursting; t90 recovery as in E11")
+	},
 }
 
 // degradationProfiles are the default E14 fault rows: the bare overload
@@ -138,82 +105,28 @@ func e14Degrade() *core.DegradeConfig {
 	return &core.DegradeConfig{Ladder: &l, Breaker: &b}
 }
 
-// DefaultDegradationMatrix is the full matrix cmd/mmscale -degrade
+// DefaultDegradationMatrix is the full E14 matrix cmd/mmscale -degrade
 // runs: two crowd sizes, both default profiles, cliff vs graceful. The
 // populations sit above the hot subtree's floor budget on purpose —
 // E14 is about behaviour past the knee, not at it.
-func DefaultDegradationMatrix() DegradationMatrix {
-	return DegradationMatrix{
-		Populations: []int{500, 800},
-		Duration:    10 * time.Second,
-		Spec:        DegradationSpec(),
+func DefaultDegradationMatrix() CrowdMatrix {
+	return CrowdMatrix{
+		Axis: Axis{
+			Populations: []int{500, 800},
+			Duration:    10 * time.Second,
+			Spec:        DegradationSpec(),
+		},
+		policy: &degradation,
 	}
 }
 
-// SuiteDegradationMatrix is the reduced matrix the benchmark harness
-// runs: one crowd, the storm profile only.
-func SuiteDegradationMatrix() DegradationMatrix {
+// SuiteDegradationMatrix is the reduced E14 matrix mmbench and the
+// benchmark harness run: one crowd, the storm profile only.
+func SuiteDegradationMatrix() CrowdMatrix {
 	m := DefaultDegradationMatrix()
 	m.Populations = []int{500}
 	m.Profiles = degradationProfiles()[1:]
 	return m
-}
-
-// E14Degradation measures planned degradation against the cliff. The
-// claim it pins: under the same overload and the same storm schedule,
-// the class-aware ladder keeps conversational admission and survival
-// high by spending the cheap classes first (deferring data, squeezing
-// video rate, preempting background-priority sessions for handoffs),
-// and the breaker turns the recovery burst into a paced queue instead
-// of a synchronized spike — while the cliff rows shed whatever arrived
-// last, regardless of class.
-//
-// Like E9–E13 it is not part of All: it runs deliberately via
-// cmd/mmscale -degrade, BenchmarkE14Degradation, or the pinned golden.
-func E14Degradation(opt Options, m DegradationMatrix) (*Table, error) {
-	opt, err := opt.normalized()
-	if err != nil {
-		return nil, err
-	}
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	p, err := e14Plan(opt, m)
-	if err != nil {
-		return nil, err
-	}
-	return opt.run(p)
-}
-
-// e14Config assembles one matrix cell: a dimensioned hotspot arena with
-// faults and telemetry armed, plus the degradation policy when
-// graceful. Both modes pin their own Obs (the runner leaves a pinned
-// Obs alone), so cliff and graceful record identically and differ only
-// in Degrade.
-func e14Config(opt Options, m DegradationMatrix, dim *capacity.Plan, n int, np faults.NamedPlan, graceful bool) core.Config {
-	cfg := core.DefaultConfig()
-	cfg.Scheme = core.SchemeMultiTier
-	cfg.Topology = oneRoot()
-	cfg.Duration = opt.scale(m.Duration)
-	cfg.NumMNs = n
-	spec := m.Spec
-	cfg.Fleet = &spec
-	cfg.PacketArena = true
-	cfg.AuthEnabled = true
-	cfg.AuthCPUCostNS = defaultAuthCPUCostNS
-	cfg.Capacity = dim
-	cfg.Faults = np.Plan
-	// The cadence scales with the run the way fault windows do — as a
-	// fraction of the (scaled) duration, not through opt.scale and its
-	// 2 s floor, which would leave a scaled-down suite with two samples.
-	cfg.Obs = &obs.Config{
-		Capacity:       1 << 17,
-		SampleInterval: time.Duration(float64(m.sample()) * float64(cfg.Duration) / float64(m.Duration)),
-	}
-	if graceful {
-		cfg.Degrade = e14Degrade()
-	}
-	return cfg
 }
 
 // classSurvival extracts the end-of-run registered fraction of one
@@ -242,69 +155,4 @@ func admissionSuccess(admitted, refused string) func(*core.Result) float64 {
 		}
 		return float64(a) / float64(a+r)
 	}
-}
-
-// e14Plan dimensions every population up front (fail fast, like E10)
-// and lays the jobs out cliff/graceful adjacent per (population,
-// profile) so the table reads as before/after pairs.
-func e14Plan(opt Options, m DegradationMatrix) (plan, error) {
-	type meta struct {
-		mns     int
-		profile string
-		mode    string
-	}
-	var jobs []runner.Job
-	var metas []meta
-	for _, n := range m.Populations {
-		dim, err := capacity.New(n, m.Spec, m.Planner)
-		if err != nil {
-			return plan{}, fmt.Errorf("dimensioning %d MNs: %w", n, err)
-		}
-		for _, np := range m.profiles() {
-			for _, mode := range []string{"cliff", "graceful"} {
-				cfg := e14Config(opt, m, dim, n, np, mode == "graceful")
-				jobs = append(jobs, runner.Job{
-					Label:  fmt.Sprintf("multitier-rsmc@%d-MNs-%s-%s", n, np.Name, mode),
-					Config: cfg,
-				})
-				metas = append(metas, meta{n, np.Name, mode})
-			}
-		}
-	}
-	return plan{
-		num:  14,
-		jobs: jobs,
-		render: func(res []runner.JobResult) (*Table, error) {
-			t := &Table{
-				ID:    "E14",
-				Title: fmt.Sprintf("Graceful degradation: cliff vs graceful x fault profile (mix %s, dimensioned, auth on)", m.Spec.String()),
-				Header: []string{"MNs", "profile", "mode",
-					"loss", "survival", "voice-surv", "voice-adm", "ho-adm",
-					"deferred", "preempted", "stepdowns", "paced", "t90 recovery"},
-			}
-			for i, r := range res {
-				mt := metas[i]
-				t.AddRow(fmtI(mt.mns), mt.profile, mt.mode,
-					fmtStatPct(r.LossRate()),
-					fmtStatPct(r.Stat(survivalRate)),
-					fmtStatPct(r.Stat(classSurvival("crowd-voice"))),
-					fmtStatPct(r.Stat(admissionSuccess(
-						"tier.admission.class.conversational.admitted",
-						"tier.admission.class.conversational.refused"))),
-					fmtStatPct(r.Stat(admissionSuccess(
-						"tier.admission.handoff.admitted",
-						"tier.admission.handoff.refused"))),
-					fmtStatI(r.Counter("ctl.degrade.deferred")),
-					fmtStatI(r.Counter("ctl.degrade.preempted")),
-					fmtStatI(r.Counter("ctl.degrade.video_stepdowns")),
-					fmtStatI(r.Counter("ctl.degrade.breaker.paced")),
-					t90Recovery(r))
-			}
-			t.AddNote("cliff rows record the same telemetry at the same cadence but attach no policy: every degradation column reads 0 and the pair isolates what planned degradation bought")
-			t.AddNote("ladder defaults: occupancy %.2f enters level 1 (defer interactive-and-below, preempt lower-priority sessions for handoffs and voice), %.2f deepens; video rate scales by the level's rung (%s)", 0.70, 0.85, "1, 0.6, 0.35")
-			t.AddNote("voice-adm / ho-adm = admitted/(admitted+refused) over conversational-class and handoff admission decisions; the ladder spends data and video to keep both high")
-			t.AddNote("paced counts anchor Mobile IP registrations the storm breaker delayed instead of bursting; t90 recovery as in E11")
-			return t, nil
-		},
-	}, nil
 }

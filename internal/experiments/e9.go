@@ -11,64 +11,38 @@ import (
 )
 
 // ScaleSweep parameterises E9: which populations and schemes to sweep,
-// how long each scenario runs (scaled by Options.TimeScale like every
-// experiment), and the fleet mix driving the population.
+// how long each scenario runs, and the fleet mix driving the
+// population.
 type ScaleSweep struct {
-	// Populations is the ascending MN-count axis.
-	Populations []int
-	// Schemes are the mobility-management schemes compared at each
-	// population.
+	Axis
+	// Schemes are the mobility-management schemes compared in each cell.
 	Schemes []core.Scheme
-	// Duration is the virtual span of each scenario.
-	Duration time.Duration
-	// Spec is the population mix; every (population, scheme) cell runs
-	// the same spec so differences isolate scheme and scale.
-	Spec fleet.Spec
 	// PerProfileSignalling adds location-update and paging attribution
 	// columns to the per-profile QoE rows. Off by default so existing
-	// pinned tables keep their exact bytes; cmd/mmscale -signalling and
-	// the E10 matrix turn it on.
+	// pinned tables keep their exact bytes; cmd/mmscale -signalling turns
+	// it on (the E10 matrix always carries them).
 	PerProfileSignalling bool
-}
-
-// Validate rejects degenerate sweeps. The population axis must be
-// strictly ascending and positive: duplicates used to silently double
-// the run time, and an unsorted axis rendered tables whose rows
-// contradicted their own "vs population" framing.
-func (sw ScaleSweep) Validate() error {
-	if len(sw.Populations) == 0 {
-		return fmt.Errorf("%w: scale sweep has no populations", ErrBadOptions)
-	}
-	if len(sw.Schemes) == 0 {
-		return fmt.Errorf("%w: scale sweep has no schemes", ErrBadOptions)
-	}
-	prev := 0
-	for _, n := range sw.Populations {
-		switch {
-		case n <= 0:
-			return fmt.Errorf("%w: population %d (must be > 0)", ErrBadOptions, n)
-		case n == prev:
-			return fmt.Errorf("%w: duplicate population %d", ErrBadOptions, n)
-		case n < prev:
-			return fmt.Errorf("%w: populations must be ascending (%d after %d)", ErrBadOptions, n, prev)
-		}
-		prev = n
-	}
-	if sw.Duration <= 0 {
-		return fmt.Errorf("%w: scale sweep duration %v", ErrBadOptions, sw.Duration)
-	}
-	return sw.Spec.Validate()
 }
 
 // DefaultScaleSweep is the full sweep cmd/mmscale runs: 500 → 10k MNs
 // under every scheme with the default urban mix.
 func DefaultScaleSweep() ScaleSweep {
 	return ScaleSweep{
-		Populations: []int{500, 1000, 2000, 5000, 10000},
-		Schemes:     core.Schemes(),
-		Duration:    10 * time.Second,
-		Spec:        fleet.DefaultSpec(),
+		Axis: Axis{
+			Populations: []int{500, 1000, 2000, 5000, 10000},
+			Duration:    10 * time.Second,
+			Spec:        fleet.DefaultSpec(),
+		},
+		Schemes: core.Schemes(),
 	}
+}
+
+// Validate applies the Axis rules plus a non-empty scheme axis.
+func (sw ScaleSweep) Validate() error {
+	if err := sw.Axis.Validate(); err != nil {
+		return err
+	}
+	return validSchemes(sw.Schemes)
 }
 
 // SuiteScaleSweep is the reduced sweep mmbench's E9 entry runs so the
@@ -80,8 +54,8 @@ func SuiteScaleSweep() ScaleSweep {
 	return sw
 }
 
-// E9ScaleSweep measures per-profile QoE as the population grows: for
-// each (population, scheme) cell it runs the fleet mix and reports the
+// plan measures per-profile QoE as the population grows: for each
+// (population, scheme) cell it runs the fleet mix and reports the
 // overall and per-profile loss, delivery delay and handoff rate. This is
 // the paper's claims under load — the multi-tier scheme must hold its
 // loss/latency advantage as the mobile population scales by 20x.
@@ -90,22 +64,7 @@ func SuiteScaleSweep() ScaleSweep {
 // aggregation (see metrics.Breakdown), so peak memory is set by the
 // population and topology, not by the packet count: a 10k-MN cell holds
 // no per-packet state.
-//
-// E9 is not part of All: its cost axis is population, not duration, so
-// the golden E1–E8 suite stays byte-identical and scale runs are invoked
-// deliberately (cmd/mmscale, mmbench E9, or the pinned golden E9 test).
-func E9ScaleSweep(opt Options, sw ScaleSweep) (*Table, error) {
-	opt, err := opt.normalized()
-	if err != nil {
-		return nil, err
-	}
-	if err := sw.Validate(); err != nil {
-		return nil, err
-	}
-	return opt.run(e9Plan(opt, sw))
-}
-
-func e9Plan(opt Options, sw ScaleSweep) plan {
+func (sw ScaleSweep) plan(opt Options) (plan, error) {
 	type meta struct {
 		mns    int
 		scheme core.Scheme
@@ -114,15 +73,7 @@ func e9Plan(opt Options, sw ScaleSweep) plan {
 	var metas []meta
 	for _, n := range sw.Populations {
 		for _, scheme := range sw.Schemes {
-			cfg := core.DefaultConfig()
-			cfg.Scheme = scheme
-			cfg.Topology = oneRoot()
-			cfg.Duration = opt.scale(sw.Duration)
-			cfg.NumMNs = n
-			spec := sw.Spec
-			cfg.Fleet = &spec
-			cfg.PacketArena = true
-			jobs = append(jobs, runner.Job{Label: fmt.Sprintf("%s@%d-MNs", scheme, n), Config: cfg})
+			jobs = append(jobs, runner.Job{Label: fmt.Sprintf("%s@%d-MNs", scheme, n), Config: sw.cell(opt, scheme, n)})
 			metas = append(metas, meta{n, scheme})
 		}
 	}
@@ -164,7 +115,7 @@ func e9Plan(opt Options, sw ScaleSweep) plan {
 			}
 			return t, nil
 		},
-	}
+	}, nil
 }
 
 // profileQoECells renders one profile's per-class cells for a

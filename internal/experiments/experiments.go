@@ -187,6 +187,16 @@ func traceFileName(label string, index int) string {
 	return fmt.Sprintf("%03d-%s.jsonl", index, b)
 }
 
+// runPlan normalises the options and runs one of E1–E8 on its own
+// batch.
+func runPlan(opt Options, build func(Options) plan) (*Table, error) {
+	opt, err := opt.normalized()
+	if err != nil {
+		return nil, err
+	}
+	return opt.run(build(opt))
+}
+
 // run executes a single experiment's plan on its own batch.
 func (o Options) run(p plan) (*Table, error) {
 	res, err := o.execute(p.num, p.jobs)
@@ -214,13 +224,7 @@ func perSecond(r runner.JobResult, counter string) runner.Stat {
 // E1MobileIPProcedures reproduces Fig 2.2: registration and triangle
 // routing through HA and FA, reporting the registration latency and
 // tunnelling overhead the later experiments improve on.
-func E1MobileIPProcedures(opt Options) (*Table, error) {
-	opt, err := opt.normalized()
-	if err != nil {
-		return nil, err
-	}
-	return opt.run(e1Plan(opt))
-}
+func E1MobileIPProcedures(opt Options) (*Table, error) { return runPlan(opt, e1Plan) }
 
 func e1Plan(opt Options) plan {
 	cfg := core.DefaultConfig()
@@ -264,13 +268,7 @@ func e1Plan(opt Options) plan {
 
 // E2CellularIPHandoff reproduces Fig 2.3/2.4: hard vs semisoft handoff
 // loss as crossing rate grows.
-func E2CellularIPHandoff(opt Options) (*Table, error) {
-	opt, err := opt.normalized()
-	if err != nil {
-		return nil, err
-	}
-	return opt.run(e2Plan(opt))
-}
+func E2CellularIPHandoff(opt Options) (*Table, error) { return runPlan(opt, e2Plan) }
 
 func e2Plan(opt Options) plan {
 	type meta struct {
@@ -317,13 +315,7 @@ func e2Plan(opt Options) plan {
 
 // E3LocationManagement reproduces Fig 3.1's hierarchical tables:
 // signalling cost versus population and the TTL ablation (D1).
-func E3LocationManagement(opt Options) (*Table, error) {
-	opt, err := opt.normalized()
-	if err != nil {
-		return nil, err
-	}
-	return opt.run(e3Plan(opt))
-}
+func E3LocationManagement(opt Options) (*Table, error) { return runPlan(opt, e3Plan) }
 
 func e3Plan(opt Options) plan {
 	dur := opt.scale(time.Minute)
@@ -378,13 +370,7 @@ func e3Plan(opt Options) plan {
 
 // E4InterDomain reproduces Figs 3.2/3.3: the cost gap between same-upper
 // and different-upper inter-domain handoffs.
-func E4InterDomain(opt Options) (*Table, error) {
-	opt, err := opt.normalized()
-	if err != nil {
-		return nil, err
-	}
-	return opt.run(e4Plan(opt))
-}
+func E4InterDomain(opt Options) (*Table, error) { return runPlan(opt, e4Plan) }
 
 func e4Plan(opt Options) plan {
 	type meta struct{ label string }
@@ -438,13 +424,7 @@ func e4Plan(opt Options) plan {
 }
 
 // E5IntraDomain reproduces Fig 3.4: the three intra-domain cases.
-func E5IntraDomain(opt Options) (*Table, error) {
-	opt, err := opt.normalized()
-	if err != nil {
-		return nil, err
-	}
-	return opt.run(e5Plan(opt))
-}
+func E5IntraDomain(opt Options) (*Table, error) { return runPlan(opt, e5Plan) }
 
 func e5Plan(opt Options) plan {
 	type meta struct{ label string }
@@ -490,13 +470,7 @@ func e5Plan(opt Options) plan {
 }
 
 // E6SchemeComparison is the headline comparison behind §4's claims.
-func E6SchemeComparison(opt Options) (*Table, error) {
-	opt, err := opt.normalized()
-	if err != nil {
-		return nil, err
-	}
-	return opt.run(e6Plan(opt))
-}
+func E6SchemeComparison(opt Options) (*Table, error) { return runPlan(opt, e6Plan) }
 
 func e6Plan(opt Options) plan {
 	type meta struct {
@@ -545,13 +519,7 @@ func e6Plan(opt Options) plan {
 
 // E7ResourceSwitching isolates §4's "resource switching management to
 // reduce data packet loss" and the guard-channel ablation (D3).
-func E7ResourceSwitching(opt Options) (*Table, error) {
-	opt, err := opt.normalized()
-	if err != nil {
-		return nil, err
-	}
-	return opt.run(e7Plan(opt))
-}
+func E7ResourceSwitching(opt Options) (*Table, error) { return runPlan(opt, e7Plan) }
 
 func e7Plan(opt Options) plan {
 	type meta struct {
@@ -602,13 +570,7 @@ func e7Plan(opt Options) plan {
 
 // E8PagingAndRSMCLoad measures idle-mode signalling and RSMC load (§4:
 // "the load of RSMC is very low").
-func E8PagingAndRSMCLoad(opt Options) (*Table, error) {
-	opt, err := opt.normalized()
-	if err != nil {
-		return nil, err
-	}
-	return opt.run(e8Plan(opt))
-}
+func E8PagingAndRSMCLoad(opt Options) (*Table, error) { return runPlan(opt, e8Plan) }
 
 func e8Plan(opt Options) plan {
 	dur := opt.scale(2 * time.Minute)

@@ -3,7 +3,10 @@
 // and message-flow diagrams and its claims are qualitative — so each
 // experiment E1–E8 turns one figure or claim into a measured scenario
 // (each experiment's doc comment names its figure or claim, and
-// testdata/golden_suite.txt records the tables at a fixed seed).
+// testdata/golden_suite.txt records the tables at a fixed seed). The
+// matrix experiments E9–E11, E13 and E14 carry the claims to scale,
+// capacity, faults and policy: each embeds the shared Axis, runs
+// through RunMatrix and is listed in the Matrices registry.
 package experiments
 
 import (
